@@ -803,11 +803,12 @@ pub struct FileIoMetrics {
 struct FileBacking {
     file: File,
     pool: PagePool,
-    /// Fragments whose pages are all resident, kept decoded.  Invalidated
-    /// the moment any of their pages is evicted.
-    decoded: BTreeMap<u64, Arc<ColumnarFragment>>,
-    /// Resident page count per fragment.
-    resident: BTreeMap<u64, u64>,
+    /// Per fragment number: the decoded fragment, kept while all of its
+    /// pages are resident.  Invalidated the moment any of its pages is
+    /// evicted.
+    decoded: Vec<Option<Arc<ColumnarFragment>>>,
+    /// Per fragment number: its resident page count.
+    resident: Vec<u64>,
     segment_reads: u64,
     bytes_read: u64,
     decoded_cache_hits: u64,
@@ -860,15 +861,17 @@ impl FileStore {
     /// # Errors
     ///
     /// See [`FileStore::open`]; additionally returns
-    /// [`StorageError::Config`] when `cache_pages` is zero.
+    /// [`StorageError::Config`] when `cache_pages` is zero or above
+    /// [`PagePool::MAX_CAPACITY`].
     pub fn open_with(
         path: impl AsRef<Path>,
         options: FileStoreOptions,
     ) -> Result<Self, StorageError> {
-        if options.cache_pages == 0 {
-            return Err(StorageError::Config(
-                "file store needs a positive page-cache capacity".into(),
-            ));
+        if !(1..=PagePool::MAX_CAPACITY).contains(&options.cache_pages) {
+            return Err(StorageError::Config(format!(
+                "file store page-cache capacity must be 1..={} pages",
+                PagePool::MAX_CAPACITY
+            )));
         }
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
@@ -1005,6 +1008,7 @@ impl FileStore {
             }
         }
 
+        let fragments = directory.len();
         Ok(FileStore {
             path,
             meta,
@@ -1013,8 +1017,8 @@ impl FileStore {
             backing: Mutex::new(FileBacking {
                 file,
                 pool: PagePool::new(options.cache_pages),
-                decoded: BTreeMap::new(),
-                resident: BTreeMap::new(),
+                decoded: vec![None; fragments],
+                resident: vec![0; fragments],
                 segment_reads: 0,
                 bytes_read: 0,
                 decoded_cache_hits: 0,
@@ -1113,7 +1117,9 @@ impl FileStore {
         let backing = &mut *backing;
 
         // Charge every page of the fragment to the pool, invalidating the
-        // decoded cache of whichever fragment loses a page.
+        // decoded cache of whichever fragment loses a page.  Pool objects
+        // are fragment numbers, all below `directory.len()`.
+        let slot = fragment_number as usize;
         let mut misses = 0u64;
         for page in 0..entry.page_count {
             let outcome = backing
@@ -1121,20 +1127,22 @@ impl FileStore {
                 .request_reporting(PageKey::new(fragment_number, page));
             if !outcome.hit {
                 misses += 1;
-                *backing.resident.entry(fragment_number).or_insert(0) += 1;
+                if let Some(count) = backing.resident.get_mut(slot) {
+                    *count += 1;
+                }
             }
             if let Some(victim) = outcome.evicted {
-                if let Some(count) = backing.resident.get_mut(&victim.object) {
+                let victim = victim.object as usize;
+                if let Some(count) = backing.resident.get_mut(victim) {
                     *count -= 1;
-                    if *count == 0 {
-                        backing.resident.remove(&victim.object);
-                    }
                 }
-                backing.decoded.remove(&victim.object);
+                if let Some(decoded) = backing.decoded.get_mut(victim) {
+                    *decoded = None;
+                }
             }
         }
         if misses == 0 {
-            if let Some(decoded) = backing.decoded.get(&fragment_number) {
+            if let Some(Some(decoded)) = backing.decoded.get(slot) {
                 backing.decoded_cache_hits += 1;
                 return Ok(Arc::clone(decoded));
             }
@@ -1176,10 +1184,10 @@ impl FileStore {
             measures,
             indices,
         ));
-        if backing.resident.get(&fragment_number) == Some(&entry.page_count) {
-            backing
-                .decoded
-                .insert(fragment_number, Arc::clone(&fragment));
+        if backing.resident.get(slot) == Some(&entry.page_count) {
+            if let Some(decoded) = backing.decoded.get_mut(slot) {
+                *decoded = Some(Arc::clone(&fragment));
+            }
         }
         Ok(fragment)
     }
@@ -1387,16 +1395,18 @@ mod tests {
         let store = small_store();
         let file = TempFile(temp_path("zerocache"));
         write_store(&store, &file.0).unwrap();
-        assert!(matches!(
-            FileStore::open_with(
-                &file.0,
-                FileStoreOptions {
-                    cache_pages: 0,
-                    verify: true
-                }
-            ),
-            Err(StorageError::Config(_))
-        ));
+        for cache_pages in [0, PagePool::MAX_CAPACITY + 1] {
+            assert!(matches!(
+                FileStore::open_with(
+                    &file.0,
+                    FileStoreOptions {
+                        cache_pages,
+                        verify: true
+                    }
+                ),
+                Err(StorageError::Config(_))
+            ));
+        }
     }
 
     #[test]

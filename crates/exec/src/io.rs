@@ -231,12 +231,12 @@ impl TaskIo {
 
 /// Who a traced scan belongs to: the query and task ids stamped onto the
 /// `Scan` and `DiskService` trace events a charge emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScanCtx {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanCtx {
     /// Query id (0 for single-query engine runs).
-    pub query: u32,
+    query: u32,
     /// Task index within the query's plan.
-    pub task: u32,
+    task: u32,
 }
 
 /// The deterministic clock of the simulated disks.
@@ -526,7 +526,8 @@ impl SimulatedIo {
     /// # Panics
     ///
     /// Panics if the configured node count is zero or does not divide the
-    /// disk count (nodes own equal, contiguous disk ranges).
+    /// disk count (nodes own equal, contiguous disk ranges), or if the
+    /// cache capacity exceeds [`PagePool::MAX_CAPACITY`].
     #[must_use]
     pub fn new(config: IoConfig, schema: &StarSchema) -> Self {
         assert!(config.nodes > 0, "need at least one node");
@@ -591,41 +592,58 @@ impl SimulatedIo {
     ///
     /// # Panics
     ///
-    /// Panics if the scan needs more than `OBJECT_STRIDE - 1` bitmap
-    /// fragments (the per-fragment cache-object budget) or the state lock
-    /// is poisoned.
+    /// As [`Self::charge_scans_traced`].
     pub fn charge_scan(&self, fragment_no: u64, rows: u64, bitmap_fragments: u64) -> TaskIo {
-        self.charge_scan_traced(
-            fragment_no,
-            rows,
-            bitmap_fragments,
-            ScanCtx::default(),
-            None,
-        )
+        let mut charges =
+            self.charge_scans_traced([(fragment_no, rows)], bitmap_fragments, 0, None);
+        charges.pop().unwrap_or_default()
     }
 
-    /// [`Self::charge_scan`] with trace attribution: when `recorder` is
-    /// present, emits one `DiskService` event per charged object on its
-    /// disk's track and one `Scan` event on the query's track, all stamped
-    /// from the simulated clock.  The trace therefore inherits the charge
-    /// order's determinism.
+    /// Charges one query's fragment scans, given as `(fragment, rows)` in
+    /// plan order (task `i` is the `i`-th scan), under one acquisition of
+    /// the state lock: the single charging path of the engine and the
+    /// scheduler.  When `recorder` is present, each scan emits one
+    /// `DiskService` event per charged object on its disk's track and one
+    /// `Scan` event on the query's track, all stamped from the simulated
+    /// clock, so the trace inherits the charge order's determinism.
     ///
     /// # Panics
     ///
-    /// As [`Self::charge_scan`].
-    pub fn charge_scan_traced(
+    /// Panics if a scan needs more than `OBJECT_STRIDE - 1` bitmap
+    /// fragments (the per-fragment cache-object budget) or the state lock
+    /// is poisoned.
+    pub fn charge_scans_traced(
         &self,
+        scans: impl IntoIterator<Item = (u64, u64)>,
+        bitmap_fragments: u64,
+        query: u32,
+        recorder: Option<&TraceRecorder>,
+    ) -> Vec<TaskIo> {
+        assert!(
+            bitmap_fragments < OBJECT_STRIDE,
+            "at most {} bitmap fragments per scan",
+            OBJECT_STRIDE - 1
+        );
+        let mut state = self.state.plock("simulated I/O state");
+        let tasks = scans.into_iter().zip(0u32..);
+        tasks
+            .map(|((fragment, rows), task)| {
+                let ctx = ScanCtx { query, task };
+                self.charge_one(&mut state, fragment, rows, bitmap_fragments, ctx, recorder)
+            })
+            .collect()
+    }
+
+    /// Charges one fragment scan with the state lock held.
+    fn charge_one(
+        &self,
+        state: &mut IoState,
         fragment_no: u64,
         rows: u64,
         bitmap_fragments: u64,
         ctx: ScanCtx,
         recorder: Option<&TraceRecorder>,
     ) -> TaskIo {
-        assert!(
-            bitmap_fragments < OBJECT_STRIDE,
-            "at most {} bitmap fragments per scan",
-            OBJECT_STRIDE - 1
-        );
         let fact_disk = self.config.allocation.fact_disk(fragment_no);
         let mut out = TaskIo {
             fact_disk,
@@ -635,10 +653,9 @@ impl SimulatedIo {
         if rows == 0 {
             return out;
         }
-        let mut state = self.state.plock("simulated I/O state");
         let fact_pages = rows.div_ceil(self.rows_per_page);
         let (mut start_ms, mut end_ms) = self.charge_object(
-            &mut state,
+            state,
             out.fact_disk,
             fragment_no * OBJECT_STRIDE,
             fact_pages,
@@ -653,7 +670,7 @@ impl SimulatedIo {
         for b in 0..bitmap_fragments {
             let disk = self.config.allocation.bitmap_disk(fragment_no, b);
             let (object_start, object_end) = self.charge_object(
-                &mut state,
+                state,
                 disk,
                 fragment_no * OBJECT_STRIDE + 1 + b,
                 bitmap_pages,
@@ -802,7 +819,8 @@ impl SimulatedIo {
         self.charge_plan_traced(plan, source, 0, None)
     }
 
-    /// [`Self::charge_plan`] with trace attribution for `query`.
+    /// [`Self::charge_plan`] with trace attribution for `query`, through
+    /// [`Self::charge_scans_traced`].
     #[must_use]
     pub fn charge_plan_traced(
         &self,
@@ -811,23 +829,16 @@ impl SimulatedIo {
         query: u32,
         recorder: Option<&TraceRecorder>,
     ) -> Vec<TaskIo> {
-        let bitmap_fragments = plan.bitmap_fragments_per_subquery(source.catalog());
-        plan.fragments()
+        let scans = plan
+            .fragments()
             .iter()
-            .enumerate()
-            .map(|(task, &f)| {
-                self.charge_scan_traced(
-                    f,
-                    source.fragment_rows(f),
-                    bitmap_fragments,
-                    ScanCtx {
-                        query,
-                        task: task as u32,
-                    },
-                    recorder,
-                )
-            })
-            .collect()
+            .map(|&f| (f, source.fragment_rows(f)));
+        self.charge_scans_traced(
+            scans,
+            plan.bitmap_fragments_per_subquery(source.catalog()),
+            query,
+            recorder,
+        )
     }
 
     /// Elapsed simulated time so far (the parallel-disk makespan), in ms —

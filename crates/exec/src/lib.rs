@@ -86,9 +86,7 @@ pub use file::{
     write_store, FileIoMetrics, FileStore, FileStoreOptions, StorageError, FORMAT_VERSION,
     PAGE_SIZE,
 };
-pub use io::{
-    DiskClock, DiskIoStats, IoConfig, IoMetrics, NodeIoStats, ScanCtx, SimulatedIo, TaskIo,
-};
+pub use io::{DiskClock, DiskIoStats, IoConfig, IoMetrics, NodeIoStats, SimulatedIo, TaskIo};
 pub use metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 pub use obs::ObsConfig;
 pub use plan::{PredicateBinding, QueryPlan};

@@ -62,7 +62,7 @@ use crate::engine::{
     merge_partials, placement_seed_order, process_fragment, ExecConfig, FragmentPartial,
     StarJoinEngine,
 };
-use crate::io::{throttle_for, ScanCtx, SimulatedIo};
+use crate::io::{throttle_for, SimulatedIo};
 use crate::metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 use crate::plan::PredicateBinding;
 use crate::queue::StealDeques;
@@ -402,24 +402,16 @@ impl Shared {
             // order under the control lock, so the whole stream's I/O
             // replay is deterministic.
             let charges = self.io.as_ref().map(|io| {
-                prepared
-                    .fragments
-                    .iter()
-                    .zip(&prepared.fragment_rows)
-                    .enumerate()
-                    .map(|(task, (&fragment, &rows))| {
-                        io.charge_scan_traced(
-                            fragment,
-                            rows,
-                            prepared.bitmap_fragments,
-                            ScanCtx {
-                                query: query_id as u32,
-                                task: task as u32,
-                            },
-                            self.obs.as_ref(),
-                        )
-                    })
-                    .collect::<Vec<_>>()
+                io.charge_scans_traced(
+                    prepared
+                        .fragments
+                        .iter()
+                        .copied()
+                        .zip(prepared.fragment_rows.iter().copied()),
+                    prepared.bitmap_fragments,
+                    query_id as u32,
+                    self.obs.as_ref(),
+                )
             });
             if let Some(rec) = &self.obs {
                 // The query's simulated completion time is already decided:
