@@ -28,8 +28,8 @@
 //!   node's FIFO interconnect lane ([`IoConfig::network_ms_per_page`]),
 //!   traced as `NetTransfer` spans on the node track.
 //! * **A [`DiskClock`].**  All simulated time lives on a deterministic
-//!   clock: scans are charged in *plan order* (single query) or *admission
-//!   order* (scheduler), never in thread-arrival order, so every per-disk
+//!   clock: each query's scans are charged in *plan order* at admission,
+//!   queries in *admission order*, never in thread-arrival order, so every per-disk
 //!   busy time, queue wait, cache hit count and the simulated makespan are
 //!   bit-identical across runs and worker counts.
 //!
@@ -233,7 +233,7 @@ impl TaskIo {
 /// `Scan` and `DiskService` trace events a charge emits.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanCtx {
-    /// Query id (0 for single-query engine runs).
+    /// The query's submission index in its stream (0 for a single query).
     query: u32,
     /// Task index within the query's plan.
     task: u32,
@@ -586,9 +586,10 @@ impl SimulatedIo {
     /// staggered disks, each in prefetch granules through the shared cache.
     /// Returns the scan's simulated cost.
     ///
-    /// Charges must arrive in a deterministic order (the engine charges in
-    /// plan order, the scheduler in admission order) — that order, not
-    /// thread scheduling, defines the cache and arm state each scan sees.
+    /// Charges must arrive in a deterministic order (the scheduler charges
+    /// each query in plan order, queries in admission order) — that order,
+    /// not thread scheduling, defines the cache and arm state each scan
+    /// sees.
     ///
     /// # Panics
     ///
@@ -601,8 +602,7 @@ impl SimulatedIo {
 
     /// Charges one query's fragment scans, given as `(fragment, rows)` in
     /// plan order (task `i` is the `i`-th scan), under one acquisition of
-    /// the state lock: the single charging path of the engine and the
-    /// scheduler.  When `recorder` is present, each scan emits one
+    /// the state lock: the scheduler's charging path at admission.  When `recorder` is present, each scan emits one
     /// `DiskService` event per charged object on its disk's track and one
     /// `Scan` event on the query's track, all stamped from the simulated
     /// clock, so the trace inherits the charge order's determinism.
@@ -810,25 +810,12 @@ impl SimulatedIo {
         (start_ms, end_ms)
     }
 
-    /// Charges every fragment scan of `plan` in plan order — the engine's
-    /// deterministic replay — returning one [`TaskIo`] per task.  Only the
-    /// source's *metadata* (catalog, per-fragment row counts) is touched:
-    /// charging a file-backed source performs no real I/O.
+    /// Charges every fragment scan of `plan` in plan order — the order a
+    /// query's admission charges it in — returning one [`TaskIo`] per task.
+    /// Only the source's *metadata* (catalog, per-fragment row counts) is
+    /// touched: charging a file-backed source performs no real I/O.
     #[must_use]
     pub fn charge_plan(&self, plan: &QueryPlan, source: &ScanSource) -> Vec<TaskIo> {
-        self.charge_plan_traced(plan, source, 0, None)
-    }
-
-    /// [`Self::charge_plan`] with trace attribution for `query`, through
-    /// [`Self::charge_scans_traced`].
-    #[must_use]
-    pub fn charge_plan_traced(
-        &self,
-        plan: &QueryPlan,
-        source: &ScanSource,
-        query: u32,
-        recorder: Option<&TraceRecorder>,
-    ) -> Vec<TaskIo> {
         let scans = plan
             .fragments()
             .iter()
@@ -836,8 +823,8 @@ impl SimulatedIo {
         self.charge_scans_traced(
             scans,
             plan.bitmap_fragments_per_subquery(source.catalog()),
-            query,
-            recorder,
+            0,
+            None,
         )
     }
 

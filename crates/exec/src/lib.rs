@@ -18,13 +18,14 @@
 //!   WAH-compressed; adaptive by default),
 //! * [`QueryPlan`] prunes the fragment list via the MDHF classifier and
 //!   annotates which predicates still need bitmap access,
-//! * [`StarJoinEngine`] executes the plan on a worker pool sharing a
-//!   work-stealing [`FragmentQueue`] (the paper's dynamic load balancing
-//!   across processing elements) — optionally seeded in
-//!   [`allocation::PhysicalAllocation`] disk-affinity order — with
-//!   per-worker bitmap-AND selection (compressed-domain when every
-//!   selection bitmap is WAH) and partial aggregation, and a deterministic
-//!   merge — parallel results are bit-identical to serial ones under every
+//! * [`StarJoinEngine`] executes the plan on the [`QueryScheduler`]'s
+//!   work-stealing pool as a one-query stream (the paper's dynamic load
+//!   balancing across processing elements; single-user mode is MPL 1) —
+//!   optionally dealt in [`allocation::PhysicalAllocation`] disk-affinity
+//!   order — with per-task bitmap-AND selection (compressed-domain when
+//!   every selection bitmap is WAH) and partial aggregation, and a
+//!   deterministic merge — parallel results are bit-identical to the serial
+//!   reference ([`StarJoinEngine::execute_serial`]) under every
 //!   representation policy,
 //! * [`ExecMetrics`] reports per-worker accounting and wall-clock speedup,
 //! * [`SimulatedIo`] (optional, [`ExecConfig::io`]) charges every
@@ -34,14 +35,14 @@
 //!   victims are weighted by remaining simulated I/O (the skew-resilience
 //!   path), and [`IoMetrics`] reports per-disk utilisation, queue depth and
 //!   cache hit rates,
-//! * [`QueryScheduler`] lifts the engine from one query at a time to the
-//!   paper's **multi-user** regime: a stream of bound queries is admitted
-//!   under an MPL limit onto a *single shared* work-stealing pool, tasks
-//!   from all in-flight queries interleave (tagged with query id and disk
-//!   affinity), each query's result is merged deterministically (bit-
-//!   identical to its serial run) and [`ThroughputMetrics`] reports
-//!   queries/sec, the latency distribution, utilisation, steals and the
-//!   disk-affinity hit rate.
+//! * [`QueryScheduler`] is the one execution path: a stream of bound
+//!   queries is admitted under an MPL limit onto a *single shared*
+//!   work-stealing pool, tasks from all in-flight queries interleave
+//!   (tagged with query id and disk affinity), each query's result is
+//!   merged deterministically (bit-identical to its serial run) and
+//!   [`ThroughputMetrics`] reports queries/sec, the latency distribution,
+//!   utilisation, steals and the disk-affinity hit rate.  The paper's
+//!   multi-user regime is MPL > 1; a single query is a stream of one.
 //!
 //! # Quick start
 //!
@@ -75,7 +76,7 @@ pub mod file;
 pub mod io;
 pub mod metrics;
 pub mod plan;
-pub mod queue;
+mod queue;
 pub mod scheduler;
 pub mod source;
 pub mod store;
@@ -90,7 +91,6 @@ pub use io::{DiskClock, DiskIoStats, IoConfig, IoMetrics, NodeIoStats, Simulated
 pub use metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
 pub use obs::ObsConfig;
 pub use plan::{PredicateBinding, QueryPlan};
-pub use queue::{Claim, FragmentQueue};
 pub use scheduler::{QueryScheduler, ScheduledQuery, SchedulerConfig, StreamOutcome};
 pub use source::{FragmentRef, ScanSource};
 pub use store::{ColumnarFragment, FragmentStore};

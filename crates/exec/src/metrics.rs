@@ -44,7 +44,9 @@ pub struct WorkerMetrics {
 pub struct ExecMetrics {
     /// Per-worker accounting, indexed by worker.
     pub workers: Vec<WorkerMetrics>,
-    /// Wall-clock time of the whole execution (planning excluded).
+    /// Wall-clock time of the whole execution (planning excluded).  It
+    /// starts before admission, so it includes the simulated-I/O charging
+    /// done at admission — for a single query as much as for a stream.
     pub wall: Duration,
     /// Number of fragments the plan selected.
     pub planned_fragments: usize,

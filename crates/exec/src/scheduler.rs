@@ -1,11 +1,12 @@
 //! The concurrent multi-query scheduler: inter-query parallelism over one
-//! shared worker pool.
+//! shared worker pool — and the crate's only execution path.
 //!
-//! The paper's multi-user experiments stress exactly the regime the
-//! single-query engine cannot reach: many concurrent star queries competing
-//! for the same disks and CPUs, where throughput — not single-query speedup
-//! — decides the fragmentation and allocation choice.  [`QueryScheduler`]
-//! supplies the missing layer:
+//! The paper's multi-user experiments stress many concurrent star queries
+//! competing for the same disks and CPUs, where throughput — not
+//! single-query speedup — decides the fragmentation and allocation choice.
+//! The single-user regime is the same mechanism at MPL 1:
+//! [`StarJoinEngine::execute`] runs one query as a stream of one through
+//! this scheduler.  [`QueryScheduler`] works as follows:
 //!
 //! * a stream of [`BoundQuery`]s is planned up front and **admitted** under
 //!   an MPL (multi-programming level) limit — at most
@@ -14,9 +15,8 @@
 //! * every task is tagged with its query's in-flight slot and its plan
 //!   position, and carries its disk affinity: when a placement is
 //!   configured, each admitted query's tasks are dealt to the workers in
-//!   [`allocation::PhysicalAllocation::subquery_disks`] order (the
-//!   engine's placement seed order), so a worker's chunk maps to a
-//!   contiguous disk stripe,
+//!   [`allocation::PhysicalAllocation::subquery_disks`] order, so a
+//!   worker's chunk maps to a contiguous disk stripe,
 //! * **one** work-stealing pool of [`ExecConfig::pool_size`] workers serves
 //!   *all* in-flight queries — tasks from different queries interleave in
 //!   the shared deques instead of each query spawning its own pool, so
@@ -28,7 +28,7 @@
 //!   across queries (repeated scans of hot fragments hit it) and tasks are
 //!   steal-weighted by their remaining simulated I/O,
 //! * each completed query is merged **deterministically** in plan order
-//!   through the same fold as the single-query engine (the shared
+//!   through the same fold as the serial reference (the shared
 //!   `merge_partials`), so every query's hits and measure sums are
 //!   bit-identical to its isolated serial run, for every MPL, worker count
 //!   and scheduling interleave,
@@ -64,8 +64,8 @@ use crate::engine::{
 };
 use crate::io::{throttle_for, SimulatedIo};
 use crate::metrics::{ExecMetrics, ThroughputMetrics, WorkerMetrics};
-use crate::plan::PredicateBinding;
-use crate::queue::StealDeques;
+use crate::plan::{PredicateBinding, QueryPlan};
+use crate::queue::{chunk_owner, StealDeques};
 use crate::sync::PoisonLock;
 
 /// Configuration of a multi-query scheduler run.
@@ -193,7 +193,7 @@ struct Task {
 }
 
 /// A planned query waiting for, or in, admission (immutable during the run).
-struct Prepared {
+pub(crate) struct Prepared {
     query_name: String,
     /// Plan fragment numbers, in plan (merge) order.
     fragments: Vec<u64>,
@@ -244,18 +244,18 @@ struct Control {
 }
 
 /// Everything the workers share.
-struct Shared {
+struct Shared<'a> {
     deques: StealDeques<Task>,
     control: Mutex<Control>,
     /// Signalled when tasks are pushed or the run finishes.
     work: Condvar,
-    prepared: Vec<Prepared>,
+    prepared: &'a [Prepared],
     mpl: usize,
     measure_count: usize,
     /// The stream-wide simulated disk subsystem; scans are charged at
     /// admission (under the control lock, in admission order — the
     /// deterministic replay order).
-    io: Option<SimulatedIo>,
+    io: Option<&'a SimulatedIo>,
     /// The run's event sink when tracing is enabled.
     obs: Option<TraceRecorder>,
     /// The shared-nothing node topology when the I/O layer simulates more
@@ -311,7 +311,7 @@ impl NodeTopology {
     }
 }
 
-impl Shared {
+impl Shared<'_> {
     /// Admits pending queries until the MPL limit is reached, dealing each
     /// admitted query's tasks across the worker deques in seed order.
     /// Zero-task queries complete at admission.  Call with the control lock
@@ -331,7 +331,7 @@ impl Shared {
             // depend only on FIFO admission order (queries are charged at
             // admission, in query-id order, under this lock), so they are
             // identical across runs, worker counts and MPLs.
-            let admit_us = match &self.io {
+            let admit_us = match self.io {
                 Some(io) => us_from_ms(io.sim_elapsed_ms()),
                 None => control.admit_seq,
             };
@@ -388,11 +388,9 @@ impl Shared {
             });
             control.active += 1;
             // Deal the tasks in balanced contiguous chunks of the seed
-            // order (the same `position * workers / tasks` chunking as
-            // `FragmentQueue::with_seed_order`, rotated by the cursor):
-            // big queries spread over the whole pool with no worker left
-            // empty by rounding, and consecutive single-task queries land
-            // on distinct workers.
+            // order, rotated by the cursor: big queries spread over the
+            // whole pool with no worker left empty by rounding, and
+            // consecutive single-task queries land on distinct workers.
             let workers = self.deques.workers();
             let first = control.seed_cursor;
             control.seed_cursor = (control.seed_cursor + 1) % workers;
@@ -401,7 +399,7 @@ impl Shared {
             // subsystem in *plan order* — admissions happen in query-id
             // order under the control lock, so the whole stream's I/O
             // replay is deterministic.
-            let charges = self.io.as_ref().map(|io| {
+            let charges = self.io.map(|io| {
                 io.charge_scans_traced(
                     prepared
                         .fragments
@@ -440,7 +438,7 @@ impl Shared {
                     vec![],
                 );
             }
-            let steal_by_io = self.io.as_ref().is_some_and(|io| io.config().steal_by_io);
+            let steal_by_io = self.io.is_some_and(|io| io.config().steal_by_io);
             for (position, &task) in prepared.seed_order.iter().enumerate() {
                 // Shared-nothing multi-node pools deal each task to a worker
                 // on its fragment's home node (round-robin within the node's
@@ -456,10 +454,10 @@ impl Shared {
                             *cursor += 1;
                             worker
                         } else {
-                            (first + position * workers / tasks) % workers
+                            chunk_owner(first, position, tasks, workers)
                         }
                     }
-                    None => (first + position * workers / tasks) % workers,
+                    None => chunk_owner(first, position, tasks, workers),
                 };
                 let charge = charges.as_ref().map(|c| c[task]);
                 let cost = match charge {
@@ -560,18 +558,17 @@ fn finalize(
 
 /// One worker's loop: claim tasks from any in-flight query until every
 /// submitted query has finished.
-fn worker_loop(shared: &Shared, engine: &StarJoinEngine, worker: usize) -> WorkerMetrics {
+fn worker_loop(shared: &Shared<'_>, engine: &StarJoinEngine, worker: usize) -> WorkerMetrics {
     let source = engine.source();
-    let wall_ns_per_sim_ms = shared
-        .io
-        .as_ref()
-        .map_or(0, |io| io.config().wall_ns_per_sim_ms);
+    let wall_ns_per_sim_ms = shared.io.map_or(0, |io| io.config().wall_ns_per_sim_ms);
     let mut metrics = WorkerMetrics {
         worker,
         ..WorkerMetrics::default()
     };
-    // This worker's position on its own simulated timeline (see the engine's
-    // `run_worker`): thread-attributed trace events are stamped from it.
+    // This worker's position on its own simulated timeline: the sum of
+    // simulated I/O it has executed so far.  Thread-attributed trace events
+    // are stamped from it (which worker ran a task is a scheduling outcome,
+    // but each worker's timeline is internally exact).
     let mut sim_cursor_ms = 0.0f64;
     // This worker's node and its node's worker range under a shared-nothing
     // multi-node topology: steal node-locally before migrating across.
@@ -708,40 +705,66 @@ impl<'e> QueryScheduler<'e> {
     }
 
     /// Plans, admits and executes `queries` on the shared pool, returning
-    /// per-query results in submission order plus throughput metrics.
+    /// per-query results in submission order plus throughput metrics.  With
+    /// [`ExecConfig::io`] set, the whole stream is charged against one fresh
+    /// simulated disk subsystem.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panics.
     #[must_use]
     pub fn run(&self, queries: &[BoundQuery]) -> StreamOutcome {
-        let source = self.engine.source();
-        let placement = self.config.exec.placement.as_ref();
         let prepared: Vec<Prepared> = queries
             .iter()
-            .map(|bound| {
-                let plan = self.engine.plan(bound);
-                let seed_order = match placement {
-                    Some(placement) => placement_seed_order(&plan, source.catalog(), placement),
-                    None => (0..plan.task_count()).collect(),
-                };
-                Prepared {
-                    query_name: plan.query_name().to_string(),
-                    seed_order,
-                    bindings: Arc::new(plan.bitmap_predicates()),
-                    fragment_rows: plan
-                        .fragments()
-                        .iter()
-                        .map(|&f| source.fragment_rows(f))
-                        .collect(),
-                    bitmap_fragments: plan.bitmap_fragments_per_subquery(source.catalog()),
-                    fragments: plan.fragments().to_vec(),
-                }
-            })
+            .map(|bound| self.prepare(&self.engine.plan(bound)))
             .collect();
+        let source = self.engine.source();
+        let io = self
+            .config
+            .exec
+            .io
+            .map(|io_config| SimulatedIo::new(io_config, source.schema()));
+        self.run_prepared(&prepared, io.as_ref())
+    }
+
+    /// Decomposes `plan` into the per-task data admission needs.
+    pub(crate) fn prepare(&self, plan: &QueryPlan) -> Prepared {
+        let source = self.engine.source();
+        let seed_order = match &self.config.exec.placement {
+            Some(placement) => placement_seed_order(plan, source.catalog(), placement),
+            None => (0..plan.task_count()).collect(),
+        };
+        Prepared {
+            query_name: plan.query_name().to_string(),
+            seed_order,
+            bindings: Arc::new(plan.bitmap_predicates()),
+            fragment_rows: plan
+                .fragments()
+                .iter()
+                .map(|&f| source.fragment_rows(f))
+                .collect(),
+            bitmap_fragments: plan.bitmap_fragments_per_subquery(source.catalog()),
+            fragments: plan.fragments().to_vec(),
+        }
+    }
+
+    /// Admits and executes `prepared` on the shared pool, charging scans
+    /// against `io` (`None` runs without the I/O layer).  The shared-nothing
+    /// node topology, steal weights and throttle follow `io`'s own
+    /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics.
+    pub(crate) fn run_prepared(
+        &self,
+        prepared: &[Prepared],
+        io: Option<&SimulatedIo>,
+    ) -> StreamOutcome {
+        let source = self.engine.source();
         let total_tasks: usize = prepared.iter().map(|p| p.fragments.len()).sum();
-        // One shared pool for the whole stream — sized once, by the same
-        // rule as the single-query engine, never per admitted query.
+        // One shared pool for the whole stream — sized once, never per
+        // admitted query.
         let workers = self.config.exec.pool_size(total_tasks);
         let query_count = prepared.len();
 
@@ -775,7 +798,7 @@ impl<'e> QueryScheduler<'e> {
         // more than one node.  Shared-disk multi-node subsystems keep the
         // single-node pool: every node reads every disk at equal cost, so
         // there is no home-node locality to preserve.
-        let nodes = self.config.exec.io.and_then(|io_config| {
+        let nodes = io.map(SimulatedIo::config).and_then(|io_config| {
             (io_config.nodes > 1 && io_config.node_strategy == NodeStrategy::SharedNothing)
                 .then(|| NodeTopology::new(io_config.node_placement(), workers))
         });
@@ -796,11 +819,7 @@ impl<'e> QueryScheduler<'e> {
             prepared,
             mpl: self.config.mpl(),
             measure_count: source.measure_count(),
-            io: self
-                .config
-                .exec
-                .io
-                .map(|io_config| SimulatedIo::new(io_config, source.schema())),
+            io,
             obs: recorder,
             nodes,
             started,
@@ -831,7 +850,7 @@ impl<'e> QueryScheduler<'e> {
         let wall = started.elapsed();
         worker_metrics.sort_by_key(|m| m.worker);
 
-        let io_metrics = shared.io.as_ref().map(SimulatedIo::metrics);
+        let io_metrics = io.map(SimulatedIo::metrics);
         let trace = shared.obs.map(TraceRecorder::into_trace);
         let control = shared.control.into_inner().expect("control lock poisoned");
         let results: Vec<ScheduledQuery> = control
@@ -848,7 +867,7 @@ impl<'e> QueryScheduler<'e> {
                     wall,
                     planned_fragments: total_tasks,
                     io: io_metrics,
-                    file: self.engine.source().file_metrics(),
+                    file: source.file_metrics(),
                 },
                 queries_completed,
                 latencies,

@@ -289,9 +289,9 @@ impl<'a> SessionBuilder<'a> {
     /// Spreads the session over `placement`'s simulated nodes: fragment
     /// scans are charged against the placement's node-owned disks (each
     /// node with its own page cache; shared-nothing cross-node reads pay
-    /// the simulated interconnect), the stream scheduler deals tasks to
-    /// their home node's workers, and worker queues are seeded in the
-    /// placement's disk-affinity order.  Results stay bit-identical to the
+    /// the simulated interconnect), the scheduler deals tasks to their home
+    /// node's workers, and worker queues are seeded in the placement's
+    /// disk-affinity order.  Results stay bit-identical to the
     /// single-node session for every node count and strategy.
     ///
     /// Replaces the allocation and node fields of any previously set
@@ -362,8 +362,10 @@ impl Session<'_> {
         self.policy
     }
 
-    /// Plans and executes one query.  Results are bit-identical for every
-    /// worker count, placement, I/O configuration and storage backing.
+    /// Plans and executes one query: a one-query [`Session::stream`], with
+    /// the same results, simulated I/O and trace digest.  Results are
+    /// bit-identical for every worker count, placement, I/O configuration
+    /// and storage backing.
     #[must_use]
     pub fn execute(&self, bound: &BoundQuery) -> QueryResult {
         self.warehouse.engine.execute(bound, &self.config)
@@ -450,6 +452,65 @@ mod tests {
             assert!(mem_result.metrics.file.is_none());
             let file = disk_result.metrics.file.expect("file metrics populated");
             assert!(file.pool.misses > 0 || file.decoded_cache_hits > 0);
+        }
+    }
+
+    /// Single-query execution is a one-query stream: `execute(q)` and
+    /// `stream(&[q])` on one session agree on results, simulated I/O and the
+    /// trace digest, for both backings, several pool sizes and with the I/O
+    /// layer on and off.
+    #[test]
+    fn execute_is_a_one_query_stream() {
+        let (schema, store) = store();
+        let guard = TempFile(temp_path("one_path"));
+        let memory = Warehouse::in_memory(store);
+        memory.save(&guard.0).unwrap();
+        let disk = Warehouse::open(&guard.0).unwrap();
+        let queries: Vec<BoundQuery> = [
+            (QueryType::OneStore, vec![7u64]),
+            (QueryType::OneMonthOneGroup, vec![3, 1]),
+            (QueryType::OneCode, vec![65]),
+        ]
+        .into_iter()
+        .map(|(t, v)| BoundQuery::new(&schema, t.to_star_query(&schema), v))
+        .collect();
+        for warehouse in [&memory, &disk] {
+            for workers in [1usize, 2, 4] {
+                for io in [None, Some(IoConfig::with_disks(4).cache(4_096))] {
+                    let mut builder = warehouse
+                        .session()
+                        .workers(workers)
+                        .obs(ObsConfig::enabled());
+                    if let Some(io) = io {
+                        builder = builder.io(io);
+                    }
+                    let session = builder.build();
+                    for bound in &queries {
+                        let single = session.execute(bound);
+                        let stream = session.stream(std::slice::from_ref(bound));
+                        let scheduled = &stream.queries[0];
+                        let case = format!("{} {workers}w io={}", single.query_name, io.is_some());
+                        assert_eq!(single.hits, scheduled.hits, "{case}");
+                        let single_bits: Vec<u64> =
+                            single.measure_sums.iter().map(|s| s.to_bits()).collect();
+                        let stream_bits: Vec<u64> =
+                            scheduled.measure_sums.iter().map(|s| s.to_bits()).collect();
+                        assert_eq!(single_bits, stream_bits, "{case}");
+                        assert_eq!(single.metrics.io, stream.metrics.pool.io, "{case}");
+                        assert_eq!(single.metrics.io.is_some(), io.is_some(), "{case}");
+                        let digest = |trace: Option<&obs::Trace>| {
+                            let trace = trace.expect("tracing enabled");
+                            assert_eq!(trace.dropped, 0, "{case}");
+                            trace.digest()
+                        };
+                        assert_eq!(
+                            digest(single.trace.as_ref()),
+                            digest(stream.trace.as_ref()),
+                            "{case}"
+                        );
+                    }
+                }
+            }
         }
     }
 
