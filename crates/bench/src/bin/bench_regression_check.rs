@@ -10,8 +10,11 @@
 //!
 //! For every `BENCH_*.json` present in `--current`, the checker looks for a
 //! file of the same name under `--baseline` (missing baselines are skipped
-//! with a note — a brand-new bench cannot regress).  From each file it
-//! extracts every numeric field and aggregates the *comparable metrics*:
+//! with a note — a brand-new bench cannot regress).  When both are
+//! directories, a baseline file with no current counterpart is a regression:
+//! a bench that stops writing its JSON, or writes it under a new name, must
+//! not silently leave the gate.  From each file it extracts every numeric
+//! field and aggregates the *comparable metrics*:
 //!
 //! * **higher-is-better** — fields named `qps` (mean over all occurrences),
 //! * **lower-is-better** — the latency fields `latency_mean_ms`,
@@ -25,8 +28,11 @@
 //! exits non-zero if any metric in any file regressed.
 //!
 //! JSON parsing is a minimal scanner for `"key": <number>` pairs — every
-//! compared file is produced by this repository's own bench binaries, so a
-//! full JSON parser (and the dependency it would drag in) is unnecessary.
+//! compared file is produced by this repository's own bench binaries through
+//! [`bench_support::json`], so a full JSON parser (and the dependency it
+//! would drag in) is unnecessary.  A non-finite value is written as `null`,
+//! which the scanner skips; a metric that is `null` everywhere in a file is
+//! therefore reported missing.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -187,29 +193,17 @@ fn bench_files(path: &Path) -> Vec<PathBuf> {
     files
 }
 
-fn main() -> ExitCode {
-    let baseline_dir =
-        PathBuf::from(arg_value("--baseline").unwrap_or_else(|| "bench/baseline".to_string()));
-    let current_dir = PathBuf::from(arg_value("--current").unwrap_or_else(|| ".".to_string()));
-    let tolerance: f64 =
-        arg_value("--tolerance").map_or(0.15, |t| t.parse().expect("tolerance must be a number"));
-
-    let current_files = bench_files(&current_dir);
-    if current_files.is_empty() {
-        eprintln!(
-            "no BENCH_*.json files under {} — nothing to compare",
-            current_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
-
+/// Compares every current bench file against its baseline and reports
+/// every baseline file the current run no longer produces; returns the
+/// regressions.
+fn compare_runs(baseline: &Path, current: &Path, tolerance: f64) -> Vec<String> {
     let mut regressions = Vec::new();
-    for current_path in &current_files {
+    for current_path in &bench_files(current) {
         let name = current_path.file_name().expect("bench file has a name");
-        let baseline_path = if baseline_dir.is_file() {
-            baseline_dir.clone()
+        let baseline_path = if baseline.is_file() {
+            baseline.to_path_buf()
         } else {
-            baseline_dir.join(name)
+            baseline.join(name)
         };
         println!("== {} ==", name.to_string_lossy());
         if !baseline_path.exists() {
@@ -225,7 +219,39 @@ fn main() -> ExitCode {
         regressions.extend(compare_files(&baseline_json, &current_json, tolerance));
         println!();
     }
+    if baseline.is_dir() && current.is_dir() {
+        for baseline_path in bench_files(baseline) {
+            let name = baseline_path.file_name().expect("bench file has a name");
+            if !current.join(name).exists() {
+                let row = format!(
+                    "{}: present in the baseline but MISSING from the current run — \
+                     the gate can no longer check it",
+                    name.to_string_lossy()
+                );
+                println!("{row}");
+                regressions.push(row);
+            }
+        }
+    }
+    regressions
+}
 
+fn main() -> ExitCode {
+    let baseline_dir =
+        PathBuf::from(arg_value("--baseline").unwrap_or_else(|| "bench/baseline".to_string()));
+    let current_dir = PathBuf::from(arg_value("--current").unwrap_or_else(|| ".".to_string()));
+    let tolerance: f64 =
+        arg_value("--tolerance").map_or(0.15, |t| t.parse().expect("tolerance must be a number"));
+
+    if bench_files(&current_dir).is_empty() {
+        eprintln!(
+            "no BENCH_*.json files under {} — nothing to compare",
+            current_dir.display()
+        );
+        return ExitCode::FAILURE;
+    }
+
+    let regressions = compare_runs(&baseline_dir, &current_dir, tolerance);
     if regressions.is_empty() {
         println!(
             "bench regression check passed (tolerance ±{:.0}%)",
@@ -234,7 +260,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "bench regression check FAILED: {} regressed metric(s); add `[bench-skip]` to the \
+            "bench regression check FAILED: {} regression(s); add `[bench-skip]` to the \
              commit message to bypass deliberately",
             regressions.len()
         );
@@ -245,6 +271,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench_support::json::Json;
 
     const SAMPLE: &str = r#"{
       "bench": "multiuser_throughput",
@@ -348,6 +375,112 @@ mod tests {
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("qps"));
         assert!(failures[0].contains("MISSING"));
+    }
+
+    /// A report written by the bench binaries' writer: one point per
+    /// `(qps, latency_mean_ms, latency_p99_ms)` triple.
+    fn written_report(points: &[(f64, f64, f64)]) -> String {
+        Json::object([
+            ("bench", "round_trip".into()),
+            ("quick", true.into()),
+            ("cores", 2usize.into()),
+            (
+                "points",
+                Json::Array(
+                    points
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(qps, mean, p99))| {
+                            Json::object([
+                                ("workers", (i + 1).into()),
+                                ("qps", qps.into()),
+                                ("latency_mean_ms", mean.into()),
+                                ("latency_p99_ms", p99.into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("gate", Json::object([("ratio", 0.5.into())])),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn the_gate_reads_back_every_value_the_writer_wrote() {
+        let points = [
+            (38_745.142_078_123_4, 0.025_810_3, 0.412),
+            (1e-7, 123_456.789, 0.1 + 0.2),
+            (2.0, 7.0 / 3.0, 1e-3),
+        ];
+        let fields = numeric_fields(&written_report(&points));
+        let read = |key: &str| -> Vec<f64> {
+            fields
+                .iter()
+                .filter(|(k, _)| k == key)
+                .map(|&(_, v)| v)
+                .collect()
+        };
+        assert_eq!(read("qps"), points.map(|p| p.0));
+        assert_eq!(read("latency_mean_ms"), points.map(|p| p.1));
+        assert_eq!(read("latency_p99_ms"), points.map(|p| p.2));
+        assert_eq!(read("workers"), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_non_finite_gated_value_is_reported_missing() {
+        let baseline = written_report(&[(100.0, 4.0, 14.0)]);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let current = written_report(&[(bad, 4.0, 14.0)]);
+            assert!(current.contains("\"qps\": null"), "{current}");
+            let failures = compare_files(&baseline, &current, 0.15);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("qps"));
+            assert!(failures[0].contains("MISSING"));
+        }
+    }
+
+    /// A fresh directory under the system temp dir, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "bench_regression_check_{}_{tag}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn with(self, name: &str, json: &str) -> Self {
+            std::fs::write(self.0.join(name), json).unwrap();
+            self
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn a_vanished_bench_file_fails() {
+        let baseline = TempDir::new("vanished_baseline")
+            .with("BENCH_a.json", SAMPLE)
+            .with("BENCH_b.json", SAMPLE);
+        let current = TempDir::new("vanished_current").with("BENCH_a.json", SAMPLE);
+        let failures = compare_runs(&baseline.0, &current.0, 0.15);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("BENCH_b.json"));
+        assert!(failures[0].contains("MISSING"));
+
+        let complete = TempDir::new("vanished_complete")
+            .with("BENCH_a.json", SAMPLE)
+            .with("BENCH_b.json", SAMPLE);
+        assert!(compare_runs(&baseline.0, &complete.0, 0.15).is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! `--quick` shrinks the store and the worker sweep for CI smoke runs.
 
-use bench_support::{f_month_group, measured_store, paper_schema, quick_mode, run_point};
+use bench_support::{cores, f_month_group, measured_store, paper_schema, quick_mode, run_point};
 use warehouse::prelude::*;
 use warehouse::workload::QueryType;
 
@@ -37,7 +37,7 @@ fn main() {
     let engine = StarJoinEngine::new(measured_store(quick));
     let schema = engine.store().schema().clone();
     let fragments = engine.store().fragmentation().fragment_count();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = cores();
     println!("Figure 3 (measured): 1STORE on the physical execution engine");
     println!(
         "store: {} rows in {} fragments under {}; machine: {} core(s)",

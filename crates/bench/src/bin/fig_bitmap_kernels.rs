@@ -17,11 +17,12 @@
 //! `--json <path>` writes the sweep (default `BENCH_bitmap_kernels.json`)
 //! for the CI perf-regression gate.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use bench_support::json::Json;
 use bench_support::{
     arg_value, print_header, print_row, quick_mode, random_bitmap, sparse_clustered_bitmap,
+    write_report,
 };
 use warehouse::prelude::*;
 
@@ -95,47 +96,16 @@ struct Point {
     size_bytes: usize,
 }
 
-fn write_json(path: &str, quick: bool, n: usize, points: &[Point], speedups: &[(usize, f64)]) {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"bitmap_kernels\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"bits\": {n},");
-    // The CI gate compares per-file means of `qps` and `latency_mean_ms`
-    // (±15 %).  Per-point rates would be dominated by the sub-microsecond
-    // cells (clustered roaring), whose best-of-N timings jitter far beyond
-    // the tolerance — so the gated metrics aggregate over the whole sweep,
-    // where the stable slow cells dominate, and the per-point cells carry
-    // an ungated `micros` field instead.
-    let total_micros: f64 = points.iter().map(|p| p.micros).sum();
-    let _ = writeln!(
-        out,
-        "  \"qps\": {:.3},",
-        1e6 * points.len() as f64 / total_micros.max(1e-3)
-    );
-    let _ = writeln!(
-        out,
-        "  \"latency_mean_ms\": {:.6},",
-        total_micros / points.len() as f64 / 1e3
-    );
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"shape\": \"{}\", \"repr\": \"{}\", \"k\": {}, \"micros\": {:.3}, \
-             \"size_bytes\": {}}}{comma}",
-            p.shape, p.repr, p.k, p.micros, p.size_bytes,
-        );
+impl Point {
+    fn json(&self) -> Json {
+        Json::object([
+            ("shape", self.shape.into()),
+            ("repr", self.repr.into()),
+            ("k", self.k.into()),
+            ("micros", self.micros.into()),
+            ("size_bytes", self.size_bytes.into()),
+        ])
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"dense_unrolled_speedup\": [");
-    for (i, (k, speedup)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"k\": {k}, \"speedup\": {speedup:.3}}}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write bench JSON");
 }
 
 #[allow(clippy::too_many_lines)]
@@ -293,6 +263,33 @@ fn main() {
         "dense multi-way AND must reach 3x over the scalar reference (best {best:.2}x)"
     );
 
-    write_json(&json_path, quick, n, &points, &dense_speedups);
-    println!("wrote {json_path}");
+    // The CI gate compares per-file means of `qps` and `latency_mean_ms`
+    // (±15 %).  Per-point rates would be dominated by the sub-microsecond
+    // cells (clustered roaring), whose best-of-N timings jitter far beyond
+    // the tolerance — so the gated metrics aggregate over the whole sweep,
+    // where the stable slow cells dominate, and the per-point cells carry
+    // an ungated `micros` field instead.
+    let total_micros: f64 = points.iter().map(|p| p.micros).sum();
+    let speedups = dense_speedups
+        .iter()
+        .map(|&(k, speedup)| Json::object([("k", k.into()), ("speedup", speedup.into())]));
+    let report = Json::object([
+        ("bench", "bitmap_kernels".into()),
+        ("quick", quick.into()),
+        ("bits", n.into()),
+        (
+            "qps",
+            (1e6 * points.len() as f64 / total_micros.max(1e-3)).into(),
+        ),
+        (
+            "latency_mean_ms",
+            (total_micros / points.len() as f64 / 1e3).into(),
+        ),
+        (
+            "points",
+            Json::Array(points.iter().map(Point::json).collect()),
+        ),
+        ("dense_unrolled_speedup", Json::Array(speedups.collect())),
+    ]);
+    write_report(&json_path, &report);
 }

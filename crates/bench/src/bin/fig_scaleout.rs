@@ -38,9 +38,8 @@
 //! Results are written as JSON (default `BENCH_scaleout.json`, override
 //! with `--json <path>`) for the CI `bench-regression` gate.
 
-use std::fmt::Write as _;
-
-use bench_support::{arg_value, quick_mode};
+use bench_support::json::Json;
+use bench_support::{arg_value, quick_mode, write_report};
 use warehouse::allocation::{load_imbalance, node_load_shares};
 use warehouse::prelude::*;
 
@@ -64,6 +63,32 @@ struct Point {
     migration_rate: f64,
     cache_hit_rate: f64,
     sim_elapsed_ms: f64,
+}
+
+impl Point {
+    fn json(&self) -> Json {
+        Json::object([
+            ("nodes", self.nodes.into()),
+            ("theta", self.theta.into()),
+            ("mpl", self.mpl.into()),
+            ("shared_nothing", self.shared_nothing.into()),
+            ("disks", self.disks.into()),
+            ("workers", self.workers.into()),
+            ("queries", self.queries.into()),
+            ("qps", self.qps.into()),
+            ("wall_qps", self.wall_qps.into()),
+            ("node_imbalance", self.node_imbalance.into()),
+            (
+                "predicted_node_imbalance",
+                self.predicted_node_imbalance.into(),
+            ),
+            ("net_ms", self.net_ms.into()),
+            ("net_pages", self.net_pages.into()),
+            ("migration_rate", self.migration_rate.into()),
+            ("cache_hit_rate", self.cache_hit_rate.into()),
+            ("sim_elapsed_ms", self.sim_elapsed_ms.into()),
+        ])
+    }
 }
 
 /// The scaled-down warehouse of the scale-out study.
@@ -138,80 +163,6 @@ fn predicted_node_imbalance(
     (load_imbalance(&shares), shares)
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(
-    path: &str,
-    quick: bool,
-    points: &[Point],
-    shares: &[(u64, f64, f64)],
-    gates: (f64, f64, f64, f64),
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"scaleout\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"nodes\": {}, \"theta\": {}, \"mpl\": {}, \"shared_nothing\": {}, \
-             \"disks\": {}, \"workers\": {}, \"queries\": {}, \"qps\": {}, \"wall_qps\": {}, \
-             \"node_imbalance\": {}, \"predicted_node_imbalance\": {}, \"net_ms\": {}, \
-             \"net_pages\": {}, \"migration_rate\": {}, \"cache_hit_rate\": {}, \
-             \"sim_elapsed_ms\": {}}}{comma}",
-            p.nodes,
-            json_number(p.theta),
-            p.mpl,
-            p.shared_nothing,
-            p.disks,
-            p.workers,
-            p.queries,
-            json_number(p.qps),
-            json_number(p.wall_qps),
-            json_number(p.node_imbalance),
-            json_number(p.predicted_node_imbalance),
-            json_number(p.net_ms),
-            p.net_pages,
-            json_number(p.migration_rate),
-            json_number(p.cache_hit_rate),
-            json_number(p.sim_elapsed_ms),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"node_shares\": [");
-    for (i, (node, predicted, measured)) in shares.iter().enumerate() {
-        let comma = if i + 1 < shares.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"node\": {node}, \"predicted_share\": {}, \"measured_share\": {}}}{comma}",
-            json_number(*predicted),
-            json_number(*measured)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let (qps_1, qps_8, uniform, skewed) = gates;
-    let _ = writeln!(
-        out,
-        "  \"gate\": {{\"qps_1node\": {}, \"qps_8nodes\": {}, \"scaling\": {}, \
-         \"uniform_node_imbalance\": {}, \"zipf1_node_imbalance\": {}, \"balance_ratio\": {}}}",
-        json_number(qps_1),
-        json_number(qps_8),
-        json_number(qps_8 / qps_1),
-        json_number(uniform),
-        json_number(skewed),
-        json_number(skewed / uniform)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let quick = quick_mode();
@@ -244,7 +195,7 @@ fn main() {
     );
 
     let mut points: Vec<Point> = Vec::new();
-    let mut node_shares: Vec<(u64, f64, f64)> = Vec::new();
+    let mut node_shares: Vec<Json> = Vec::new();
     // Gate accumulators: shared-nothing simulated qps at 1 and 8 nodes on
     // the Zipf stream (first MPL of the axis), and the 8-node per-node
     // imbalances under θ = 0 and θ = 1.
@@ -326,11 +277,11 @@ fn main() {
                             for (node, (&measured, &predicted)) in
                                 profile.iter().zip(&predicted_shares).enumerate()
                             {
-                                node_shares.push((
-                                    node as u64,
-                                    predicted,
-                                    measured / total.max(1e-12),
-                                ));
+                                node_shares.push(Json::object([
+                                    ("node", node.into()),
+                                    ("predicted_share", predicted.into()),
+                                    ("measured_share", (measured / total.max(1e-12)).into()),
+                                ]));
                             }
                         }
                     }
@@ -413,17 +364,25 @@ fn main() {
         skewed / uniform
     );
 
-    match write_json(
-        &json_path,
-        quick,
-        &points,
-        &node_shares,
-        (qps_1node, qps_8nodes, uniform, skewed),
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    let report = Json::object([
+        ("bench", "scaleout".into()),
+        ("quick", quick.into()),
+        (
+            "points",
+            Json::Array(points.iter().map(Point::json).collect()),
+        ),
+        ("node_shares", Json::Array(node_shares)),
+        (
+            "gate",
+            Json::object([
+                ("qps_1node", qps_1node.into()),
+                ("qps_8nodes", qps_8nodes.into()),
+                ("scaling", (qps_8nodes / qps_1node).into()),
+                ("uniform_node_imbalance", uniform.into()),
+                ("zipf1_node_imbalance", skewed.into()),
+                ("balance_ratio", (skewed / uniform).into()),
+            ]),
+        ),
+    ]);
+    write_report(&json_path, &report);
 }

@@ -36,9 +36,8 @@
 //! `BENCH_skew_resilience.json`, override with `--json <path>`) for the CI
 //! `bench-regression` gate.
 
-use std::fmt::Write as _;
-
-use bench_support::{arg_value, quick_mode};
+use bench_support::json::Json;
+use bench_support::{arg_value, quick_mode, write_report};
 use warehouse::allocation::{disk_load_shares, load_imbalance};
 use warehouse::prelude::*;
 use warehouse::simpad;
@@ -60,6 +59,30 @@ struct Point {
     cache_hit_rate: f64,
     steal_rate: f64,
     sim_elapsed_ms: f64,
+}
+
+impl Point {
+    fn json(&self) -> Json {
+        Json::object([
+            ("theta", self.theta.into()),
+            ("disks", self.disks.into()),
+            ("workers", self.workers.into()),
+            ("queries", self.queries.into()),
+            ("qps", self.qps.into()),
+            ("latency_mean_ms", self.latency_mean_ms.into()),
+            ("disk_imbalance", self.disk_imbalance.into()),
+            ("predicted_imbalance", self.predicted_imbalance.into()),
+            ("nocache_imbalance", self.nocache_imbalance.into()),
+            (
+                "predicted_nocache_imbalance",
+                self.predicted_nocache_imbalance.into(),
+            ),
+            ("worker_imbalance", self.worker_imbalance.into()),
+            ("cache_hit_rate", self.cache_hit_rate.into()),
+            ("steal_rate", self.steal_rate.into()),
+            ("sim_elapsed_ms", self.sim_elapsed_ms.into()),
+        ])
+    }
 }
 
 /// The scaled-down warehouse of the skew study.
@@ -142,88 +165,6 @@ fn predicted_imbalances(
         load_imbalance(&disk_load_shares(&io.allocation, &distinct)),
         load_imbalance(&disk_load_shares(&io.allocation, &per_scan)),
     )
-}
-
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    quick: bool,
-    points: &[Point],
-    simpad_series: &[(u64, f64)],
-    steal_ab: &[(bool, f64, f64)],
-    gate: (f64, f64, f64),
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"skew_resilience\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"theta\": {}, \"disks\": {}, \"workers\": {}, \"queries\": {}, \
-             \"qps\": {}, \"latency_mean_ms\": {}, \"disk_imbalance\": {}, \
-             \"predicted_imbalance\": {}, \"nocache_imbalance\": {}, \
-             \"predicted_nocache_imbalance\": {}, \"worker_imbalance\": {}, \
-             \"cache_hit_rate\": {}, \"steal_rate\": {}, \"sim_elapsed_ms\": {}}}{comma}",
-            json_number(p.theta),
-            p.disks,
-            p.workers,
-            p.queries,
-            json_number(p.qps),
-            json_number(p.latency_mean_ms),
-            json_number(p.disk_imbalance),
-            json_number(p.predicted_imbalance),
-            json_number(p.nocache_imbalance),
-            json_number(p.predicted_nocache_imbalance),
-            json_number(p.worker_imbalance),
-            json_number(p.cache_hit_rate),
-            json_number(p.steal_rate),
-            json_number(p.sim_elapsed_ms),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"simpad_uniform\": [");
-    for (i, (disks, imbalance)) in simpad_series.iter().enumerate() {
-        let comma = if i + 1 < simpad_series.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"disks\": {disks}, \"sim_disk_imbalance\": {}}}{comma}",
-            json_number(*imbalance)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"steal_ab\": [");
-    for (i, (by_io, worker_imbalance, steal_rate)) in steal_ab.iter().enumerate() {
-        let comma = if i + 1 < steal_ab.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"steal_by_io\": {by_io}, \"worker_imbalance\": {}, \"steal_rate\": {}}}{comma}",
-            json_number(*worker_imbalance),
-            json_number(*steal_rate)
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let (uniform, skewed, limit) = gate;
-    let _ = writeln!(
-        out,
-        "  \"gate\": {{\"uniform_imbalance\": {}, \"zipf1_imbalance\": {}, \"ratio\": {}, \
-         \"limit\": {}}}",
-        json_number(uniform),
-        json_number(skewed),
-        json_number(skewed / uniform),
-        json_number(limit)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out)
 }
 
 fn main() {
@@ -410,7 +351,7 @@ fn main() {
     // measured θ = 0 imbalances must sit in the same near-1 regime.
     let full_schema = bench_support::paper_schema();
     let full_frag = bench_support::f_month_group(&full_schema);
-    let mut simpad_series: Vec<(u64, f64)> = Vec::new();
+    let mut simpad_series: Vec<Json> = Vec::new();
     for &disks in disks_axis {
         let config = SimConfig {
             disks,
@@ -437,7 +378,10 @@ fn main() {
             imbalance < 1.3,
             "SIMPAD uniform 1MONTH run should be declustered, got {imbalance:.2}x on {disks} disks"
         );
-        simpad_series.push((disks, imbalance));
+        simpad_series.push(Json::object([
+            ("disks", disks.into()),
+            ("sim_disk_imbalance", imbalance.into()),
+        ]));
     }
 
     // The steal-policy A/B (wall-clock, hence report-only).
@@ -473,18 +417,33 @@ fn main() {
         skewed / uniform
     );
 
-    match write_json(
-        &json_path,
-        quick,
-        &points,
-        &simpad_series,
-        &steal_ab,
-        (uniform, skewed, limit),
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    let steal_ab = steal_ab
+        .iter()
+        .map(|&(by_io, worker_imbalance, steal_rate)| {
+            Json::object([
+                ("steal_by_io", by_io.into()),
+                ("worker_imbalance", worker_imbalance.into()),
+                ("steal_rate", steal_rate.into()),
+            ])
+        });
+    let report = Json::object([
+        ("bench", "skew_resilience".into()),
+        ("quick", quick.into()),
+        (
+            "points",
+            Json::Array(points.iter().map(Point::json).collect()),
+        ),
+        ("simpad_uniform", Json::Array(simpad_series)),
+        ("steal_ab", Json::Array(steal_ab.collect())),
+        (
+            "gate",
+            Json::object([
+                ("uniform_imbalance", uniform.into()),
+                ("zipf1_imbalance", skewed.into()),
+                ("ratio", (skewed / uniform).into()),
+                ("limit", limit.into()),
+            ]),
+        ),
+    ]);
+    write_report(&json_path, &report);
 }

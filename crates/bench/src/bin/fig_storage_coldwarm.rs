@@ -28,13 +28,12 @@
 //! the bench-regression gate.  The page-pool counters are deterministic for
 //! a given workload and cache size; only the wall-clock fields are noisy.
 
-use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bench_support::{arg_value, measured_store_fragmented, quick_mode};
+use bench_support::json::Json;
+use bench_support::{arg_value, cores, measured_store_fragmented, quick_mode, write_report};
 use warehouse::prelude::*;
 
 /// One measured pass (cold or warm), kept for the JSON report.
@@ -47,6 +46,21 @@ struct Pass {
     decoded_hits: u64,
     segment_reads: u64,
     bytes_read: u64,
+}
+
+impl Pass {
+    fn json(&self) -> Json {
+        Json::object([
+            ("phase", self.phase.into()),
+            ("queries", self.queries.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("qps", self.qps.into()),
+            ("page_hit_rate", self.page_hit_rate.into()),
+            ("decoded_hits", self.decoded_hits.into()),
+            ("segment_reads", self.segment_reads.into()),
+            ("bytes_read", self.bytes_read.into()),
+        ])
+    }
 }
 
 /// A uniquely named file in the system temp directory, removed on drop.
@@ -67,10 +81,6 @@ impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
     }
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// Runs the workload once on a file-backed session and snapshots the pass:
@@ -123,73 +133,6 @@ fn run_file_pass(
         segment_reads: after.segment_reads - before.segment_reads,
         bytes_read: after.bytes_read - before.bytes_read,
     }
-}
-
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    quick: bool,
-    file_bytes: u64,
-    passes: &[Pass],
-    sim_cold_hit_rate: f64,
-    sim_warm_hit_rate: f64,
-    predicted_cold_io_ms: f64,
-    measured_cold_wall_ms: f64,
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"storage_coldwarm\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"cores\": {},", cores());
-    let _ = writeln!(out, "  \"file_bytes\": {file_bytes},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in passes.iter().enumerate() {
-        let comma = if i + 1 < passes.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"phase\": \"{}\", \"queries\": {}, \"wall_ms\": {}, \"qps\": {}, \
-             \"page_hit_rate\": {}, \"decoded_hits\": {}, \"segment_reads\": {}, \
-             \"bytes_read\": {}}}{comma}",
-            p.phase,
-            p.queries,
-            json_number(p.wall_ms),
-            json_number(p.qps),
-            json_number(p.page_hit_rate),
-            p.decoded_hits,
-            p.segment_reads,
-            p.bytes_read,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"sim_cold_hit_rate\": {},",
-        json_number(sim_cold_hit_rate)
-    );
-    let _ = writeln!(
-        out,
-        "  \"sim_warm_hit_rate\": {},",
-        json_number(sim_warm_hit_rate)
-    );
-    let _ = writeln!(
-        out,
-        "  \"predicted_cold_io_ms\": {},",
-        json_number(predicted_cold_io_ms)
-    );
-    let _ = writeln!(
-        out,
-        "  \"measured_cold_wall_ms\": {}",
-        json_number(measured_cold_wall_ms)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out)
 }
 
 fn main() {
@@ -311,41 +254,35 @@ fn main() {
     );
     println!();
 
-    let cold_wall_ms = cold.wall_ms;
-    let warm_page_hit_rate = warm.page_hit_rate;
-    let warm_segment_reads = warm.segment_reads;
-    match write_json(
-        &json_path,
-        quick,
-        file_bytes,
-        &[cold, warm],
-        sim_cold_hit_rate,
-        sim_warm_hit_rate,
-        predicted_cold_io_ms,
-        cold_wall_ms,
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(err) => {
-            eprintln!("failed to write {json_path}: {err}");
-            std::process::exit(1);
-        }
-    }
-
+    let report = Json::object([
+        ("bench", "storage_coldwarm".into()),
+        ("quick", quick.into()),
+        ("cores", cores().into()),
+        ("file_bytes", file_bytes.into()),
+        ("points", Json::Array(vec![cold.json(), warm.json()])),
+        ("sim_cold_hit_rate", sim_cold_hit_rate.into()),
+        ("sim_warm_hit_rate", sim_warm_hit_rate.into()),
+        ("predicted_cold_io_ms", predicted_cold_io_ms.into()),
+        ("measured_cold_wall_ms", cold.wall_ms.into()),
+    ]);
+    write_report(&json_path, &report);
     // The acceptance gate: after a cold pass the real buffer pool must be at
     // least as warm as the simulated cache on the identical workload — it
     // additionally keeps whole decoded fragments, so it can only do better.
     assert!(
-        warm_page_hit_rate >= sim_warm_hit_rate,
-        "warm file-backed page-pool hit rate {warm_page_hit_rate:.3} fell below the simulated \
-         cache's warm hit rate {sim_warm_hit_rate:.3} on the same workload"
+        warm.page_hit_rate >= sim_warm_hit_rate,
+        "warm file-backed page-pool hit rate {:.3} fell below the simulated cache's warm hit \
+         rate {sim_warm_hit_rate:.3} on the same workload",
+        warm.page_hit_rate
     );
     assert!(
-        warm_segment_reads == 0,
-        "warm pass re-read {warm_segment_reads} segments from the file; the pool should hold \
-         the whole working set ({file_bytes} bytes)"
+        warm.segment_reads == 0,
+        "warm pass re-read {} segments from the file; the pool should hold the whole working \
+         set ({file_bytes} bytes)",
+        warm.segment_reads
     );
     println!(
-        "gate: warm page-pool hit rate {warm_page_hit_rate:.3} >= \
-         simulated warm hit rate {sim_warm_hit_rate:.3} ✓"
+        "gate: warm page-pool hit rate {:.3} >= simulated warm hit rate {sim_warm_hit_rate:.3} ✓",
+        warm.page_hit_rate
     );
 }

@@ -16,6 +16,11 @@
 
 #![forbid(unsafe_code)]
 
+pub mod json;
+
+use std::num::NonZeroUsize;
+
+use json::Json;
 use warehouse::prelude::*;
 use warehouse::simpad;
 
@@ -128,6 +133,25 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
+/// The number of cores this process may run on (1 when unknown).  Every
+/// wall-clock report carries it.
+#[must_use]
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Writes a bench report to `path` and says so; on failure prints the
+/// error and exits the process with status 1.
+pub fn write_report(path: &str, report: &Json) {
+    match report.write(path) {
+        Ok(()) => println!("wrote {path}"),
+        Err(err) => {
+            eprintln!("failed to write {path}: {err}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Splitmix64-style mixing, for deterministic pseudo-random bit positions
 /// in the representation-study workloads.
 #[must_use]
@@ -143,7 +167,7 @@ pub fn splitmix(seed: u64, value: u64) -> u64 {
 
 /// An `n`-bit bitmap of ~1 % density in 512-bit runs — the clustered shape
 /// of selections on range-contiguous hierarchy values.  Shared by the
-/// `fig_bitmap_compression` binary and the `bitmap_repr` criterion bench.
+/// `fig_bitmap_compression` and `fig_bitmap_kernels` binaries.
 #[must_use]
 pub fn sparse_clustered_bitmap(n: usize, seed: u64) -> Bitmap {
     let run = 512usize;

@@ -81,13 +81,6 @@ impl Advisor {
         Advisor { model, config }
     }
 
-    /// Creates an advisor with an explicit catalog.
-    #[must_use]
-    pub fn with_catalog(schema: StarSchema, catalog: IndexCatalog, config: AdvisorConfig) -> Self {
-        let model = CostModel::with_parameters(schema, catalog, config.cost);
-        Advisor { model, config }
-    }
-
     /// The underlying cost model.
     #[must_use]
     pub fn model(&self) -> &CostModel {

@@ -330,19 +330,6 @@ pub struct DiskIoStats {
     pub cache_misses: u64,
 }
 
-impl DiskIoStats {
-    /// This disk's cache hit ratio in `[0, 1]` (0 when never accessed).
-    #[must_use]
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Per-node accounting of one simulated subsystem: the node's disks folded
 /// together plus its interconnect lane and private cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
